@@ -167,10 +167,23 @@ pub struct ReplicaEntry {
 /// Callers drive expiry explicitly via [`SubscriberTable::expire_until`]
 /// (typically from a periodic sweep event or before reads), keeping the
 /// table independent of any particular event loop.
+///
+/// A whole-replica refresh ([`SubscriberTable::refresh_all`]) is O(1): it
+/// raises a replica-wide *floor* instead of re-arming every entry, and an
+/// entry's effective deadline is the later of its own deadline and the
+/// floor. [`SubscriberTable::get`] and [`SubscriberTable::entries`] report
+/// that effective deadline, so the floor is invisible to readers. This
+/// relies on time never running backwards across calls: every `now`
+/// passed to `apply` and `refresh_all` is at least the previous
+/// `refresh_all`'s `now` (both the simulator clock and the runtime's wall
+/// clock guarantee it).
 #[derive(Clone, Debug)]
 pub struct SubscriberTable {
     entries: BTreeMap<Key, ReplicaEntry>,
     ttl: SimDuration,
+    /// Deadline of the last whole-replica refresh: no entry expires
+    /// before it.
+    floor: SimTime,
     expirations: u64,
     refreshes: u64,
 }
@@ -182,6 +195,7 @@ impl SubscriberTable {
         SubscriberTable {
             entries: BTreeMap::new(),
             ttl,
+            floor: SimTime::ZERO,
             expirations: 0,
             refreshes: 0,
         }
@@ -192,11 +206,20 @@ impl SubscriberTable {
         self.ttl
     }
 
+    /// `e` with its deadline raised to the replica-wide floor.
+    fn effective(&self, e: &ReplicaEntry) -> ReplicaEntry {
+        ReplicaEntry {
+            expires_at: e.expires_at.max(self.floor),
+            ..*e
+        }
+    }
+
     /// Applies a received announcement for `(key, value)` at `now`:
     /// installs or refreshes the entry and re-arms its timer.
     /// Returns `true` when this reception changed the stored value
     /// (first receipt or a newer version).
     pub fn apply(&mut self, now: SimTime, key: Key, value: Value) -> bool {
+        debug_assert!(now + self.ttl >= self.floor, "time ran backwards");
         self.refreshes += 1;
         match self.entries.entry(key) {
             Entry::Occupied(mut o) => {
@@ -223,23 +246,31 @@ impl SubscriberTable {
     /// Explicitly removes a key (e.g. on an authoritative delete
     /// announcement). Returns the removed entry.
     pub fn remove(&mut self, key: Key) -> Option<ReplicaEntry> {
-        self.entries.remove(&key)
+        let e = self.entries.remove(&key)?;
+        Some(self.effective(&e))
     }
 
     /// Re-arms every entry's expiration timer from `now`. Used when a
     /// summary announcement confirms the publisher is alive and a repair
     /// channel exists to reconcile any divergence: the summary then acts
-    /// as the soft-state refresh for the whole replica.
+    /// as the soft-state refresh for the whole replica. O(1): it raises
+    /// the replica-wide floor to `now + ttl`. `now` must not be earlier
+    /// than any previous `refresh_all`'s.
     pub fn refresh_all(&mut self, now: SimTime) {
-        let deadline = now + self.ttl;
-        for e in self.entries.values_mut() {
-            e.expires_at = deadline;
-        }
+        debug_assert!(now + self.ttl >= self.floor, "time ran backwards");
+        self.floor = now + self.ttl;
     }
 
     /// Deletes every entry whose deadline is at or before `now`; returns
     /// the expired keys in ascending order (the map iterates sorted).
+    /// While the floor lies beyond `now` nothing can be due, and the
+    /// sweep returns without walking the replica.
     pub fn expire_until(&mut self, now: SimTime) -> Vec<Key> {
+        if self.floor > now {
+            return Vec::new();
+        }
+        // With the floor at or before `now`, an entry's effective
+        // deadline is due exactly when its own deadline is.
         let dead: Vec<Key> = self
             .entries
             .iter()
@@ -253,9 +284,10 @@ impl SubscriberTable {
         dead
     }
 
-    /// The entry for `key`, if present (ignoring expiry; sweep first).
-    pub fn get(&self, key: Key) -> Option<&ReplicaEntry> {
-        self.entries.get(&key)
+    /// The entry for `key`, if present (ignoring expiry; sweep first),
+    /// with its effective deadline.
+    pub fn get(&self, key: Key) -> Option<ReplicaEntry> {
+        self.entries.get(&key).map(|e| self.effective(e))
     }
 
     /// Number of stored entries.
@@ -268,9 +300,10 @@ impl SubscriberTable {
         self.entries.is_empty()
     }
 
-    /// Iterates stored entries in ascending key order.
-    pub fn entries(&self) -> impl Iterator<Item = (&Key, &ReplicaEntry)> {
-        self.entries.iter()
+    /// Iterates stored entries, with their effective deadlines, in
+    /// ascending key order.
+    pub fn entries(&self) -> impl Iterator<Item = (&Key, ReplicaEntry)> + '_ {
+        self.entries.iter().map(|(k, e)| (k, self.effective(e)))
     }
 
     /// Lifetime counters: `(refreshes applied, expirations)`.

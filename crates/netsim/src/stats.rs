@@ -4,9 +4,8 @@
 //! "the time average of the instantaneous system consistency over the
 //! entire lifetime of a system", §2.1) and per-event averages (receive
 //! latency `T_rec`). [`TimeWeightedMean`] integrates a piecewise-constant
-//! signal exactly; [`Welford`] accumulates event samples numerically
-//! stably; [`DurationHistogram`] gives latency quantiles without storing
-//! every sample; [`TimeSeries`] records `c(t)` curves for the Figure 8
+//! signal exactly; [`DurationHistogram`] gives latency quantiles without
+//! storing every sample; [`TimeSeries`] records `c(t)` curves for the Figure 8
 //! style plots.
 
 use crate::time::{SimDuration, SimTime};
@@ -58,53 +57,6 @@ impl TimeWeightedMean {
             return self.last_v;
         }
         (self.integral + self.last_v * tail) / total
-    }
-}
-
-/// Welford's online mean/variance for event-driven samples.
-#[derive(Clone, Debug, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Welford::default()
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of samples so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 }
 
@@ -292,30 +244,6 @@ mod tests {
         let mut m = TimeWeightedMean::new(SimTime::ZERO, 0.25);
         m.update(SimTime::from_secs(4), 0.25);
         assert!((m.mean_until(SimTime::from_secs(10)) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [1.0, 2.0, 4.0, 8.0, 16.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-        assert_eq!(w.count(), 5);
-        assert!((w.mean() - mean).abs() < 1e-12);
-        assert!((w.variance() - var).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_degenerate() {
-        let mut w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        w.push(3.0);
-        assert_eq!(w.mean(), 3.0);
-        assert_eq!(w.variance(), 0.0);
     }
 
     #[test]

@@ -116,52 +116,54 @@ const MD5_K: [u32; 64] = [
 
 /// RFC 1321 MD5 of `data`.
 pub fn md5(data: &[u8]) -> [u8; 16] {
-    let mut a0: u32 = 0x67452301;
-    let mut b0: u32 = 0xefcdab89;
-    let mut c0: u32 = 0x98badcfe;
-    let mut d0: u32 = 0x10325476;
-
-    // Padding: 0x80, zeros, then the 64-bit little-endian bit length.
+    let mut state = [0x67452301u32, 0xefcdab89, 0x98badcfe, 0x10325476];
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        md5_block(&mut state, block);
+    }
+    // Padding, on the stack: the tail, 0x80, zeros, then the 64-bit
+    // little-endian bit length, filling one block or two.
+    let tail = blocks.remainder();
+    let mut pad = [0u8; 128];
+    pad[..tail.len()].copy_from_slice(tail);
+    pad[tail.len()] = 0x80;
+    let pad_len = if tail.len() < 56 { 64 } else { 128 };
     let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    pad[pad_len - 8..pad_len].copy_from_slice(&bit_len.to_le_bytes());
+    for block in pad[..pad_len].chunks_exact(64) {
+        md5_block(&mut state, block);
     }
-    msg.extend_from_slice(&bit_len.to_le_bytes());
-
-    for chunk in msg.chunks_exact(64) {
-        let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(chunk[i * 4..i * 4 + 4].try_into().unwrap());
-        }
-        let (mut a, mut b, mut c, mut d) = (a0, b0, c0, d0);
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            let sum = a.wrapping_add(f).wrapping_add(MD5_K[i]).wrapping_add(m[g]);
-            b = b.wrapping_add(sum.rotate_left(MD5_S[i]));
-            a = tmp;
-        }
-        a0 = a0.wrapping_add(a);
-        b0 = b0.wrapping_add(b);
-        c0 = c0.wrapping_add(c);
-        d0 = d0.wrapping_add(d);
-    }
-
     let mut out = [0u8; 16];
-    out[0..4].copy_from_slice(&a0.to_le_bytes());
-    out[4..8].copy_from_slice(&b0.to_le_bytes());
-    out[8..12].copy_from_slice(&c0.to_le_bytes());
-    out[12..16].copy_from_slice(&d0.to_le_bytes());
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
     out
+}
+
+/// One MD5 compression round over a 64-byte block.
+fn md5_block(state: &mut [u32; 4], block: &[u8]) {
+    let mut m = [0u32; 16];
+    for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_le_bytes(bytes.try_into().expect("4-byte word"));
+    }
+    let [mut a, mut b, mut c, mut d] = *state;
+    for i in 0..64 {
+        let (f, g) = match i / 16 {
+            0 => ((b & c) | (!b & d), i),
+            1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+            2 => (b ^ c ^ d, (3 * i + 5) % 16),
+            _ => (c ^ (b | !d), (7 * i) % 16),
+        };
+        let tmp = d;
+        d = c;
+        c = b;
+        let sum = a.wrapping_add(f).wrapping_add(MD5_K[i]).wrapping_add(m[g]);
+        b = b.wrapping_add(sum.rotate_left(MD5_S[i]));
+        a = tmp;
+    }
+    for (s, x) in state.iter_mut().zip([a, b, c, d]) {
+        *s = s.wrapping_add(x);
+    }
 }
 
 #[cfg(test)]

@@ -17,9 +17,9 @@
 //!    convergence and safety invariants on each reached state. Pure
 //!    machines make states clonable and hashable, which is what makes
 //!    that search tractable.
-//! 3. **A future async transport** (ROADMAP item 3), which will wrap the
-//!    same machines in real sockets and timers without touching the
-//!    protocol logic.
+//! 3. **The live transport** ([`crate::runtime`]), which wraps the same
+//!    machines in real UDP sockets and wall-clock timers, many sessions
+//!    per socket, without touching the protocol logic.
 //!
 //! The long-standing imperative methods (`publish`, `on_packet`, …)
 //! remain available as thin compatibility shims that construct the

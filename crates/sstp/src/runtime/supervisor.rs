@@ -123,7 +123,7 @@ pub struct SupervisorStats {
     pub deaths: u64,
 }
 
-/// The supervisor proper: one [`Entry`] per registered session, indexed
+/// The supervisor proper: one liveness entry per registered session, indexed
 /// by session id.
 #[derive(Debug)]
 pub struct Supervisor {

@@ -35,6 +35,7 @@ use ss_netsim::{
     LossModel, MetricsRegistry, MetricsSnapshot, QueueClass, SimDuration, SimRng, SimTime,
     SketchId, TracedWorld, World,
 };
+use std::rc::Rc;
 
 /// The application workload driving a session.
 #[derive(Clone, Debug)]
@@ -265,10 +266,11 @@ enum Ev {
     ColdFree,
     FbFree(usize),
     /// Receiver `i` hears a data packet; the [`TraceId`] names the wire
-    /// span that carried it (NONE when tracing is off).
-    DataArrive(usize, Packet, TraceId),
-    FbArriveSender(Packet, TraceId),
-    FbOverheard(usize, Packet, TraceId),
+    /// span that carried it (NONE when tracing is off). Every copy of
+    /// one transmission shares the packet.
+    DataArrive(usize, Rc<Packet>, TraceId),
+    FbArriveSender(Rc<Packet>, TraceId),
+    FbOverheard(usize, Rc<Packet>, TraceId),
     FeedbackDue(usize),
     ReportTick(usize),
     AdaptTick,
@@ -695,6 +697,7 @@ impl Sim {
         } else {
             self.tracer.span(q.now(), depart, tx_actor, tkind, key)
         };
+        let pkt = Rc::new(pkt);
         for i in 0..self.receivers.len() {
             // The baseline channel draw always happens first so that an
             // empty fault spec leaves the random streams untouched.
@@ -744,9 +747,9 @@ impl Sim {
                 continue;
             }
             let arrive = depart + self.cfg.prop_delay + p.extra_delay;
-            q.schedule(arrive, Ev::DataArrive(i, pkt.clone(), tx_id));
+            q.schedule(arrive, Ev::DataArrive(i, Rc::clone(&pkt), tx_id));
             if p.duplicate {
-                q.schedule(arrive, Ev::DataArrive(i, pkt.clone(), tx_id));
+                q.schedule(arrive, Ev::DataArrive(i, Rc::clone(&pkt), tx_id));
             }
         }
         q.schedule(depart, free);
@@ -823,20 +826,20 @@ impl Sim {
             return;
         }
         self.fb_busy[i] = true;
-        let pkt = self.fb_queue[i].remove(0);
+        let pkt = Rc::new(self.fb_queue[i].remove(0));
         let bytes = pkt.wire_len();
         let c_tx = self.c_fb_tx;
         self.registry.inc(c_tx);
         let c_bytes = self.c_fb_bytes;
         self.registry.add(c_bytes, bytes as u64);
-        let kind = match &pkt {
+        let kind = match *pkt {
             Packet::Nack(_) => EventKind::Nack,
             Packet::RepairQuery(_) => EventKind::Query,
             _ => EventKind::Report,
         };
         self.events.log(q.now(), kind, i as u64);
         let depart = q.now() + self.fb_rate().transmit_time(bytes);
-        let tkind = match &pkt {
+        let tkind = match *pkt {
             Packet::Nack(_) => TraceKind::Nack,
             Packet::RepairQuery(_) => TraceKind::Query,
             _ => TraceKind::Report,
@@ -875,7 +878,7 @@ impl Sim {
         } else {
             q.schedule(
                 depart + self.cfg.prop_delay,
-                Ev::FbArriveSender(pkt.clone(), fb_id),
+                Ev::FbArriveSender(Rc::clone(&pkt), fb_id),
             );
         }
         // Overheard by peers (multicast feedback), when there are any.
@@ -891,7 +894,7 @@ impl Sim {
                 if !lost {
                     q.schedule(
                         depart + self.cfg.prop_delay,
-                        Ev::FbOverheard(j, pkt.clone(), fb_id),
+                        Ev::FbOverheard(j, Rc::clone(&pkt), fb_id),
                     );
                 }
             }
@@ -919,8 +922,13 @@ impl Sim {
         let mut disagree = 0u64;
         for i in 0..self.receivers.len() {
             let mut agree = 0usize;
+            // Merge join: the live table and the replica both iterate
+            // in ascending key order, so one walk pairs them up.
+            let mut held = self.receivers[i].replica().entries().peekable();
             for r in self.sender.table().live() {
-                if self.receivers[i].replica().get(r.key).map(|e| e.value) == Some(r.value) {
+                while held.next_if(|(k, _)| **k < r.key).is_some() {}
+                let mine = held.next_if(|(k, _)| **k == r.key);
+                if mine.is_some_and(|(_, e)| e.value == r.value) {
                     agree += 1;
                 } else if let Some(&upd) = self.updated_at.get(r.key.0 as usize) {
                     // Probe-sampled staleness: how old the newest sender
@@ -1040,7 +1048,7 @@ impl World for Sim {
                     self.receivers[i].on_packet(q.now(), &pkt);
                 }
                 if self.receivers[i].stats().data_applied > before {
-                    if let Packet::Data(d) = &pkt {
+                    if let Packet::Data(d) = &*pkt {
                         self.tracer.instant_under(
                             q.now(),
                             Actor::Replica(i as u32),
@@ -1083,7 +1091,7 @@ impl World for Sim {
                     self.receivers[i].on_packet(q.now(), &pkt);
                 }
                 if self.receivers[i].stats().data_applied > before {
-                    if let Packet::Data(d) = &pkt {
+                    if let Packet::Data(d) = &*pkt {
                         self.tracer.instant_under(
                             q.now(),
                             Actor::Replica(i as u32),
