@@ -1,11 +1,11 @@
 #![allow(missing_docs)] // criterion macros generate undocumented items
 //! Scheduler hot-path benchmarks: one pick + unit charge, at hot/cold
 //! scale (2 classes, the §4 setting) and at an application-class scale
-//! (64 classes, the §6.1 hierarchy setting).
+//! (64 classes).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ss_netsim::SimRng;
-use ss_sched::{Drr, Hierarchy, Lottery, Scfq, Scheduler, Sfq, StrictPriority, Stride};
+use ss_sched::{Drr, Lottery, Scheduler, Sfq, StrictPriority, Stride};
 
 fn bench_policy(c: &mut Criterion, name: &str, make: fn() -> Box<dyn Scheduler>) {
     let mut group = c.benchmark_group("scheduler");
@@ -27,66 +27,12 @@ fn bench_policy(c: &mut Criterion, name: &str, make: fn() -> Box<dyn Scheduler>)
     group.finish();
 }
 
-fn bench_hierarchy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scheduler");
-    group.bench_function("hierarchy/3-level-12-leaves", |b| {
-        let mut h = Hierarchy::new();
-        let root = h.root();
-        let mut class = 0;
-        for i in 0..3 {
-            let mid = h.add_interior(root, i + 1);
-            for j in 0..2 {
-                let lo = h.add_interior(mid, j + 1);
-                for k in 0..2 {
-                    h.add_leaf(lo, k + 1, class);
-                    h.set_backlogged(class, true);
-                    class += 1;
-                }
-            }
-        }
-        let mut rng = SimRng::new(2);
-        b.iter(|| {
-            let cl = h.pick(&mut rng).expect("backlogged");
-            h.charge(cl, 1);
-            cl
-        });
-    });
-    group.finish();
-}
-
-fn bench_scfq(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scheduler");
-    for &classes in &[2usize, 64] {
-        group.bench_with_input(
-            BenchmarkId::new("scfq-enq-deq", classes),
-            &classes,
-            |b, &classes| {
-                let mut q: Scfq<u64> = Scfq::new();
-                for cl in 0..classes {
-                    q.set_weight(cl, (cl as u64 % 7) + 1);
-                    q.enqueue(cl, 1000, cl as u64);
-                }
-                let mut i = 0u64;
-                b.iter(|| {
-                    let (cl, _, _) = q.dequeue().expect("backlogged");
-                    i += 1;
-                    q.enqueue(cl, 100 + (i % 1400), i);
-                    cl
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn benches(c: &mut Criterion) {
     bench_policy(c, "lottery", || Box::new(Lottery::new()));
     bench_policy(c, "stride", || Box::new(Stride::new()));
     bench_policy(c, "sfq", || Box::new(Sfq::new()));
     bench_policy(c, "drr", || Box::new(Drr::new(1)));
     bench_policy(c, "priority", || Box::new(StrictPriority::new()));
-    bench_hierarchy(c);
-    bench_scfq(c);
 }
 
 criterion_group!(scheduler_benches, benches);

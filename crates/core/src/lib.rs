@@ -17,8 +17,9 @@
 //!   [`protocol::feedback`] (§5).
 //!
 //! The open-loop simulation is validated against the closed forms in
-//! `ss-queueing`; all three variants share workload and measurement
-//! machinery so they compare on common random numbers. The SSTP protocol
+//! `ss-queueing`; all three variants run on one announce engine and
+//! share its workload and measurement machinery, so they compare on
+//! common random numbers. The SSTP protocol
 //! framework of §6 builds on this crate in `sstp`.
 //!
 //! ## Example: measuring open-loop consistency

@@ -322,6 +322,15 @@ impl<X> LiveJobs<X> {
         self.jobs.get(h).map(|j| &j.extra)
     }
 
+    /// The id, receiver-side consistency and mutable protocol payload of
+    /// the record behind `h` in one lookup, or `None` if stale.
+    #[inline]
+    pub(crate) fn job_mut(&mut self, h: Handle) -> Option<(u64, bool, &mut X)> {
+        self.jobs
+            .get_mut(h)
+            .map(|j| (j.id, j.consistent, &mut j.extra))
+    }
+
     /// Mutable protocol payload behind `h`, or `None` if stale.
     #[inline]
     pub(crate) fn extra_mut(&mut self, h: Handle) -> Option<&mut X> {

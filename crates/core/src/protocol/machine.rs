@@ -1,17 +1,17 @@
-//! The pure Table 1 / Figure 7 transition machine shared by the three
-//! protocol simulations.
+//! The pure Table 1 / Figure 7 transition machine of the announce
+//! engine that runs the §3–§5 protocol variants.
 //!
-//! Every variant ([`super::open_loop`], [`super::two_queue`],
-//! [`super::feedback`]) ends a data service the same way: the channel
-//! draw and death draw happen (in the variant's own stream order), and
-//! then a *pure* classification decides what the service did to the
-//! record — which Table 1 transition it was, whether the receiver
-//! installs the value, and whether the record survives to re-enter a
-//! queue. Figure 7's sender-side location machine (Hot → Cold on
-//! transmission, Cold → Hot on NACK) and the NACK-generation rule are
+//! Every data service the engine completes — from the single queue of
+//! [`super::open_loop`] or the hot/cold queues of [`super::two_queue`]
+//! and [`super::feedback`] — ends the same way: the channel draw and the
+//! death draw happen, and then a *pure* classification decides what the
+//! service did to the record — which Table 1 transition it was, whether
+//! the receiver installs the value, and whether the record survives to
+//! re-enter a queue. Figure 7's sender-side location machine (Hot → Cold
+//! on transmission, Cold → Hot on NACK) and the NACK-generation rule are
 //! equally draw-free. This module holds those decisions as pure
 //! functions so the `ss-verify` explorer can check them exhaustively and
-//! the simulations cannot drift apart on the shared protocol semantics.
+//! the engine applies one definition of the protocol semantics.
 //!
 //! Nothing here draws randomness, reads a clock, or touches a channel:
 //! inputs are booleans the caller already drew, outputs are plain data.
@@ -84,9 +84,10 @@ impl TransitionCounts {
 
 /// Where a live record currently sits at the sender — Figure 7's three
 /// live states.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Loc {
-    /// Waiting in the hot (foreground) queue.
+    /// Waiting in the hot (foreground) queue, where every record starts.
+    #[default]
     Hot,
     /// Waiting in the cold (background) queue.
     Cold,

@@ -6,11 +6,18 @@
 //! * [`feedback`] — §5: hot/cold queues plus receiver NACKs that promote
 //!   lost records back to the hot queue (Figure 7's H/C/D machine).
 //!
-//! All three share the same workload and measurement machinery so their
-//! results are directly comparable on common random numbers: the same
-//! seed gives every variant the identical arrival/death/loss draws it
-//! would have seen under any other variant.
+//! The three are one program: the paper builds §4 as §3 plus a second
+//! queue and §5 as §4 plus feedback, and a single private engine
+//! (`announce`) runs all of them, parametrised by its queue set and the
+//! §4 sharing mode. Each variant module holds only its public config and
+//! report types and maps them onto the engine; the Table 1 / Figure 7
+//! decisions the engine applies are the pure functions of [`machine`].
+//! With `μ_fb = 0` the feedback variant is the partitioned two-queue
+//! variant bit for bit. Random streams are derived by name from the
+//! seed, so the variants compare on common random numbers: the same seed
+//! gives every variant the same arrival, death and loss draws.
 
+mod announce;
 pub mod feedback;
 pub mod machine;
 pub mod open_loop;

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use ss_netsim::SimRng;
-use ss_sched::{Drr, Hierarchy, Lottery, Scheduler, Sfq, StrictPriority, Stride};
+use ss_sched::{Drr, Lottery, Scheduler, Sfq, StrictPriority, Stride};
 
 fn service_shares(s: &mut dyn Scheduler, weights: &[u64], rounds: usize) -> Vec<f64> {
     for (c, &w) in weights.iter().enumerate() {
@@ -60,17 +60,6 @@ proptest! {
         check_proportional(&mut Lottery::new(), &weights, 0.03)?;
     }
 
-    /// A flat hierarchy behaves exactly like a flat scheduler.
-    #[test]
-    fn flat_hierarchy_is_proportional(weights in prop::collection::vec(1u64..50, 2..8)) {
-        let mut h = Hierarchy::new();
-        let root = h.root();
-        for (c, &w) in weights.iter().enumerate() {
-            h.add_leaf(root, w, c);
-        }
-        check_proportional(&mut h, &weights, 0.01)?;
-    }
-
     /// Work conservation: as long as any class is backlogged with a
     /// positive weight, every policy picks something; with none, nothing.
     #[test]
@@ -108,39 +97,4 @@ proptest! {
         }
     }
 
-    /// Nested hierarchy shares multiply: leaf share = prod(weight ratios)
-    /// along its path.
-    #[test]
-    fn hierarchy_shares_multiply(
-        top in prop::collection::vec(1u64..9, 2..4),
-        inner in prop::collection::vec(1u64..9, 2..4),
-    ) {
-        let mut h = Hierarchy::new();
-        let root = h.root();
-        let mut class = 0usize;
-        let mut want = Vec::new();
-        let top_total: u64 = top.iter().sum();
-        let inner_total: u64 = inner.iter().sum();
-        for &tw in &top {
-            let mid = h.add_interior(root, tw);
-            for &iw in &inner {
-                h.add_leaf(mid, iw, class);
-                h.set_backlogged(class, true);
-                want.push((tw as f64 / top_total as f64) * (iw as f64 / inner_total as f64));
-                class += 1;
-            }
-        }
-        let mut rng = SimRng::new(5);
-        let mut counts = vec![0u64; class];
-        let rounds = 40_000;
-        for _ in 0..rounds {
-            let c = h.pick(&mut rng).unwrap();
-            counts[c] += 1;
-            h.charge(c, 1);
-        }
-        for (c, (&got, &w)) in counts.iter().zip(&want).enumerate() {
-            let share = got as f64 / rounds as f64;
-            prop_assert!((share - w).abs() < 0.015, "leaf {c}: {share:.4} vs {w:.4}");
-        }
-    }
 }
